@@ -1271,6 +1271,22 @@ impl Comm {
         report.failed.clone()
     }
 
+    /// Sub-communicator over `members` (communicator-local ranks, in
+    /// order) whose context every member derives *deterministically*
+    /// from `(parent context, salt)` — no collective is needed to build
+    /// it, so a rank rebuilt alone (a Tier-0 replacement) derives the
+    /// very communicator its peers built earlier. Every member must pass
+    /// the same `members` and `salt`; the caller must be a member.
+    #[must_use]
+    pub fn derive(&self, members: &[usize], salt: u64) -> Comm {
+        let mut h = fault::mix64(self.context ^ 0xde71_7ed0_c0ff_ee00);
+        h = fault::mix64(h ^ salt);
+        for &r in members {
+            h = fault::mix64(h ^ r as u64);
+        }
+        self.subset(members, h)
+    }
+
     /// A sub-communicator over `members` (communicator-local ranks, in
     /// order) with an explicitly chosen context. The caller must be a
     /// member and every member must derive the same `context`.

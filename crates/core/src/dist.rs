@@ -6,6 +6,19 @@
 //! solves, and the distributed spectral Poisson solve. This is the driver
 //! behind the Table II / Table III (Figs. 7–8) scaling experiments.
 //!
+//! The long-range solve is the paper's real-valued pipeline: CIC deposit
+//! into the rank's x-slab → one r2c forward transform → influence ×
+//! filter × Super-Lanczos gradient → three c2r inverses → CIC
+//! interpolation. Everything that does not change between steps is built
+//! once per view, in [`DistSimulation::new`] and on checkpoint restore:
+//! the transform is a [`RealPencilFft`] on a `p × 1` process grid, whose
+//! real layout is asserted to be exactly the rank's `[lx, ng, ng]`
+//! deposit slab, and the [`DistRealPoisson`] holding it tabulates the
+//! kernels over the rank's half-spectrum modes and keeps a spectral
+//! workspace. The three force slabs get their halo planes from the ring
+//! neighbors and are read by one fused interpolation pass that computes
+//! each particle's CIC weights once for all three components.
+//!
 //! One deliberate deviation from the paper is documented here: HACC
 //! obtains boundary-cell density from the overloaded replicas with no
 //! communication; we instead deposit *active* particles into a one-plane
@@ -18,10 +31,8 @@ use std::time::Instant;
 
 use hacc_comm::Comm;
 use hacc_domain::{gridhalo, refresh, Decomposition, Packed, Particles};
-use hacc_fft::{DistRealFft3, RealPencilFft, SlabFft};
-use hacc_pm::{
-    coarse_solve_forces, DistPoisson, ForceSplit, GridForceFit, LocalComplementSolver,
-};
+use hacc_fft::{DistRealFft3, RealPencilFft};
+use hacc_pm::{DistRealPoisson, ForceSplit, GridForceFit, LocalComplementSolver};
 use hacc_short::{ForceKernel, RcbTree};
 
 use crate::config::{SimConfig, SolverKind};
@@ -37,14 +48,22 @@ const TAGS_FINE_DENSITY_HALO: (u64, u64) = (221, 222);
 
 /// Rank-local machinery of the two-level PM mesh: the force split, the
 /// local complement solver on the ghost-padded slab, and the coarse
-/// global transform (a pencil FFT on a `p × 1` grid, whose real layout
-/// is exactly this rank's coarse slab).
+/// global solver (on a pencil FFT over a `p × 1` grid, whose real
+/// layout is exactly this rank's coarse slab).
 struct TwoLevelDist<'a> {
     split: ForceSplit,
     local: LocalComplementSolver,
-    coarse_fft: RealPencilFft<'a>,
+    coarse: DistRealPoisson<RealPencilFft<'a>>,
     /// Fine-complement kernel support in fine cells.
     h_kernel: usize,
+}
+
+/// The long-range solver of one rank, built once per view.
+enum LongRange<'a> {
+    /// Single-level mesh on the rank's fine deposit slab.
+    Single(Box<DistRealPoisson<RealPencilFft<'a>>>),
+    /// Coarse global mesh plus rank-local fine complement.
+    TwoLevel(Box<TwoLevelDist<'a>>),
 }
 
 /// One rank's view of a distributed simulation.
@@ -61,18 +80,31 @@ pub struct DistSimulation<'a> {
     pub stats: RunStats,
     /// Overload width in grid cells.
     w_cells: f64,
-    /// Two-level PM machinery when `cfg.two_level` is set.
-    tl: Option<TwoLevelDist<'a>>,
+    /// Cached long-range solver.
+    lr: LongRange<'a>,
 }
 
-/// Build the per-rank two-level machinery, validating that the slab
-/// geometry can host the ghost depths the split requires.
-fn build_two_level<'a>(
-    comm: &'a Comm,
-    cfg: &SimConfig,
-    w_cells: f64,
-) -> Option<TwoLevelDist<'a>> {
-    let lv = cfg.two_level?;
+/// A real-to-complex transform of an `n`-per-side grid on the `p × 1`
+/// process grid, checked to hand this rank exactly its x-slab, aligned
+/// with the particle decomposition.
+fn slab_fft<'a>(comm: &'a Comm, n: usize, what: &str) -> RealPencilFft<'a> {
+    let p = comm.size();
+    let l = n / p;
+    let fft = RealPencilFft::with_grid(comm, n, p, 1);
+    let rl = fft.real_layout();
+    assert_eq!(rl.origin, [comm.rank() * l, 0, 0], "{what} slab misaligned");
+    assert_eq!(rl.size, [l, n, n], "{what} slab shape mismatch");
+    fft
+}
+
+/// Build the per-rank long-range solver; for the two-level mesh,
+/// validate that the slab geometry can host the ghost depths the split
+/// requires.
+fn build_long_range<'a>(comm: &'a Comm, cfg: &SimConfig, w_cells: f64) -> LongRange<'a> {
+    let Some(lv) = cfg.two_level else {
+        let fft = slab_fft(comm, cfg.ng, "deposit");
+        return LongRange::Single(Box::new(DistRealPoisson::new(fft, cfg.box_len, cfg.spectral)));
+    };
     let split = ForceSplit::new(cfg.ng, cfg.box_len, cfg.spectral, lv);
     let p = comm.size();
     let nc = split.nc();
@@ -97,18 +129,13 @@ fn build_two_level<'a>(
         h_c <= lc && lc >= 2,
         "coarse slab too thin: {lc} planes vs halo {h_c}"
     );
-    let coarse_fft = RealPencilFft::with_grid(comm, nc, p, 1);
-    // The p×1 pencil grid must hand this rank exactly its coarse slab,
-    // aligned with the particle decomposition.
-    let rl = coarse_fft.real_layout();
-    assert_eq!(rl.origin, [comm.rank() * lc, 0, 0], "coarse slab misaligned");
-    assert_eq!(rl.size, [lc, nc, nc], "coarse slab shape mismatch");
-    Some(TwoLevelDist {
+    let coarse = split.coarse_poisson(slab_fft(comm, nc, "coarse"));
+    LongRange::TwoLevel(Box::new(TwoLevelDist {
         local: LocalComplementSolver::new(&split, lx + 2 * hh),
-        coarse_fft,
+        coarse,
         split,
         h_kernel,
-    })
+    }))
 }
 
 impl<'a> DistSimulation<'a> {
@@ -150,7 +177,7 @@ impl<'a> DistSimulation<'a> {
             }
         }
         parts.n_active = parts.len();
-        let tl = build_two_level(comm, &cfg, w_cells);
+        let lr = build_long_range(comm, &cfg, w_cells);
         let mut sim = DistSimulation {
             comm,
             cfg,
@@ -161,7 +188,7 @@ impl<'a> DistSimulation<'a> {
             a: ics.a_init,
             stats: RunStats::default(),
             w_cells,
-            tl,
+            lr,
         };
         refresh(sim.comm, &sim.decomp, &mut sim.parts);
         sim
@@ -195,7 +222,7 @@ impl<'a> DistSimulation<'a> {
             cfg.rcut_cells as f32,
             fit.epsilon as f32,
         );
-        let tl = build_two_level(comm, &cfg, w_cells);
+        let lr = build_long_range(comm, &cfg, w_cells);
         DistSimulation {
             comm,
             cfg,
@@ -206,7 +233,7 @@ impl<'a> DistSimulation<'a> {
             a,
             stats: RunStats::default(),
             w_cells,
-            tl,
+            lr,
         }
     }
 
@@ -391,8 +418,7 @@ impl<'a> DistSimulation<'a> {
                 ix_ext >= 0 && ix_ext + 1 < (lx + 2 * HD) as i64,
                 "active particle drifted outside the deposit halo"
             );
-            let iy1 = (iy + 1) % n;
-            let iz1 = (iz + 1) % n;
+            let (iy1, iz1) = (next_cell(iy, n), next_cell(iz, n));
             let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
             for (pofs, wx) in [(ix_ext as usize, tx), (ix_ext as usize + 1, dx)] {
                 let base = pofs * plane;
@@ -417,53 +443,66 @@ impl<'a> DistSimulation<'a> {
         gridhalo::exchange_planes(self.comm, local, n * n, h, tags)
     }
 
-    /// Interpolate an extended (haloed) slab field of an `n`-per-side
-    /// grid at all local particles (local-frame coordinates, possibly
-    /// outside the box).
-    fn interpolate_ext(&self, ext: &[f64], n: usize, h: usize) -> Vec<f32> {
-        let ng = n;
+    /// Interpolate three extended (haloed) slab fields of an
+    /// `n`-per-side grid at all local particles (local-frame
+    /// coordinates, possibly outside the box) in one pass: each
+    /// particle's CIC cell and weights are computed once and read
+    /// against all three fields. Per component the arithmetic is the
+    /// single-field formula, so the result is bitwise that of three
+    /// separate passes.
+    fn interpolate_ext(&self, ext: [&[f64]; 3], n: usize, h: usize) -> [Vec<f32>; 3] {
         let p = self.comm.size();
         let lx = n / p;
         let x0 = self.comm.rank() * lx;
         let to_grid = n as f64 / self.cfg.box_len;
         let plane = n * n;
-        let mut out = Vec::with_capacity(self.parts.len());
-        for i in 0..self.parts.len() {
+        let np = self.parts.len();
+        let mut out = [
+            Vec::with_capacity(np),
+            Vec::with_capacity(np),
+            Vec::with_capacity(np),
+        ];
+        for i in 0..np {
             let gx = f64::from(self.parts.x[i]) * to_grid;
             let gy = f64::from(self.parts.y[i]) * to_grid;
             let gz = f64::from(self.parts.z[i]) * to_grid;
             let fx = gx.floor();
             let dx = gx - fx;
             let ixe = fx as i64 - (x0 as i64 - h as i64);
-            debug_assert!(
-                ixe >= 0 && (ixe as usize) < lx + 2 * h - 1,
-                "particle outside halo: ixe={ixe}"
+            assert!(
+                ixe >= 0 && ixe + 1 < (lx + 2 * h) as i64,
+                "particle drifted outside the interpolation halo"
             );
             let ixe = ixe as usize;
-            let (iy, dy) = wrap_cell(gy, ng);
-            let (iz, dz) = wrap_cell(gz, ng);
-            let iy1 = (iy + 1) % ng;
-            let iz1 = (iz + 1) % ng;
+            let (iy, dy) = wrap_cell(gy, n);
+            let (iz, dz) = wrap_cell(gz, n);
+            let (iy1, iz1) = (next_cell(iy, n), next_cell(iz, n));
             let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
-            let mut acc = 0.0;
-            for (pofs, wx) in [(ixe, tx), (ixe + 1, dx)] {
+            let corners = [(ixe, tx), (ixe + 1, dx)].map(|(pofs, wx)| {
                 let base = pofs * plane;
-                acc += wx
-                    * (ext[base + iy * ng + iz] * ty * tz
-                        + ext[base + iy * ng + iz1] * ty * dz
-                        + ext[base + iy1 * ng + iz] * dy * tz
-                        + ext[base + iy1 * ng + iz1] * dy * dz);
+                (wx, [base + iy * n + iz, base + iy * n + iz1, base + iy1 * n + iz, base + iy1 * n + iz1])
+            });
+            for (field, slot) in ext.iter().zip(out.iter_mut()) {
+                let mut acc = 0.0;
+                for &(wx, [c00, c01, c10, c11]) in &corners {
+                    acc += wx
+                        * (field[c00] * ty * tz
+                            + field[c01] * ty * dz
+                            + field[c10] * dy * tz
+                            + field[c11] * dy * dz);
+                }
+                slot.push(acc as f32);
             }
-            out.push(acc as f32);
         }
         out
     }
 
     /// Long-range acceleration for every local particle.
     fn pm_accel(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        if self.tl.is_some() {
-            return self.pm_accel_two_level(brk);
-        }
+        let solver = match &self.lr {
+            LongRange::Single(solver) => solver,
+            LongRange::TwoLevel(tl) => return self.pm_accel_two_level(tl, brk),
+        };
         let ng = self.cfg.ng;
         let nbar = self.global_count() as f64 / (ng * ng * ng) as f64;
         let t0 = Instant::now();
@@ -471,18 +510,14 @@ impl<'a> DistSimulation<'a> {
         brk.cic += t0.elapsed();
 
         let t1 = Instant::now();
-        let fft = SlabFft::new(self.comm, ng);
-        let solver = DistPoisson::new(&fft, self.cfg.box_len, self.cfg.spectral);
-        let forces = solver.solve_forces(&source);
+        let mut forces = [Vec::new(), Vec::new(), Vec::new()];
+        solver.solve_forces_into(&source, &mut forces);
         brk.fft += t1.elapsed();
 
         let t2 = Instant::now();
         let h = (self.w_cells.ceil() as usize) + 1;
-        let out = [
-            self.interpolate_ext(&self.halo_exchange(&forces[0], ng, h, TAGS_FORCE_HALO), ng, h),
-            self.interpolate_ext(&self.halo_exchange(&forces[1], ng, h, TAGS_FORCE_HALO), ng, h),
-            self.interpolate_ext(&self.halo_exchange(&forces[2], ng, h, TAGS_FORCE_HALO), ng, h),
-        ];
+        let ext = forces.map(|f| self.halo_exchange(&f, ng, h, TAGS_FORCE_HALO));
+        let out = self.interpolate_ext([&ext[0], &ext[1], &ext[2]], ng, h);
         brk.cic += t2.elapsed();
         out
     }
@@ -496,8 +531,7 @@ impl<'a> DistSimulation<'a> {
     /// interpolation touches) sit at least `h_kernel` from the padded
     /// boundary, so slab periodization never contaminates them beyond
     /// the matching tolerance.
-    fn pm_accel_two_level(&self, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
-        let tl = self.tl.as_ref().expect("two-level machinery");
+    fn pm_accel_two_level(&self, tl: &TwoLevelDist<'a>, brk: &mut StepBreakdown) -> [Vec<f32>; 3] {
         let ng = self.cfg.ng;
         let (_, lx) = self.slab_range();
         let np = self.global_count() as f64;
@@ -515,7 +549,8 @@ impl<'a> DistSimulation<'a> {
 
         // Coarse global solve: 1 r2c + 3 c2r on the (ng/c)³ grid.
         let t1 = Instant::now();
-        let coarse_forces = coarse_solve_forces(&tl.coarse_fft, &tl.split, &coarse_src);
+        let mut coarse_forces = [Vec::new(), Vec::new(), Vec::new()];
+        tl.coarse.solve_forces_into(&coarse_src, &mut coarse_forces);
         brk.coarse_fft += t1.elapsed();
 
         // Fine complement: ghost-padded local solve, no global comm.
@@ -531,25 +566,24 @@ impl<'a> DistSimulation<'a> {
         let t3 = Instant::now();
         let plane = ng * ng;
         let h_c = ((self.w_cells / (ng / nc) as f64).ceil() as usize) + 1;
-        let mut out = [Vec::new(), Vec::new(), Vec::new()];
-        for (axis, slot) in out.iter_mut().enumerate() {
-            // Valid fine planes [x0-h_int, x0+lx+h_int) are the
-            // contiguous slice starting h_kernel planes into the padded
-            // output.
-            let fine_slice =
-                &fine_forces[axis][tl.h_kernel * plane..(tl.h_kernel + lx + 2 * h_int) * plane];
-            let mut f = self.interpolate_ext(fine_slice, ng, h_int);
-            let ext_c = self.halo_exchange(
-                &coarse_forces[axis],
-                nc,
-                h_c,
-                TAGS_COARSE_FORCE_HALO,
-            );
-            let fc = self.interpolate_ext(&ext_c, nc, h_c);
-            for (o, v) in f.iter_mut().zip(&fc) {
-                *o += v;
+        // Valid fine planes [x0-h_int, x0+lx+h_int) are the contiguous
+        // slice starting h_kernel planes into the padded output.
+        let valid = tl.h_kernel * plane..(tl.h_kernel + lx + 2 * h_int) * plane;
+        let mut out = self.interpolate_ext(
+            [
+                &fine_forces[0][valid.clone()],
+                &fine_forces[1][valid.clone()],
+                &fine_forces[2][valid],
+            ],
+            ng,
+            h_int,
+        );
+        let ext_c = coarse_forces.map(|f| self.halo_exchange(&f, nc, h_c, TAGS_COARSE_FORCE_HALO));
+        let fc = self.interpolate_ext([&ext_c[0], &ext_c[1], &ext_c[2]], nc, h_c);
+        for (o, c) in out.iter_mut().zip(&fc) {
+            for (v, w) in o.iter_mut().zip(c) {
+                *v += w;
             }
-            *slot = f;
         }
         brk.cic += t3.elapsed();
         out
@@ -692,18 +726,43 @@ impl<'a> DistSimulation<'a> {
 }
 
 /// Periodic cell index + offset for coordinate `g` on an `n` grid.
+///
+/// Within one box length of the box (every local-frame coordinate) a
+/// single add or subtract of `n` wraps the coordinate; it is exact
+/// there and gives the bits `g % n` (fmod) would, so fmod is left for
+/// the far outliers.
 #[inline]
 fn wrap_cell(g: f64, n: usize) -> (usize, f64) {
     let nf = n as f64;
-    let mut w = g % nf;
-    if w < 0.0 {
-        w += nf;
-    }
+    let mut w = if (0.0..nf).contains(&g) {
+        g
+    } else if g < 0.0 && g > -nf {
+        g + nf
+    } else if g >= nf && g < 2.0 * nf {
+        g - nf
+    } else {
+        let r = g % nf;
+        if r < 0.0 {
+            r + nf
+        } else {
+            r
+        }
+    };
     if w >= nf {
         w = 0.0;
     }
     let i = w.floor() as usize;
     (i.min(n - 1), w - i as f64)
+}
+
+/// Periodic successor of cell `i` on an `n` grid.
+#[inline]
+fn next_cell(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
 }
 
 #[cfg(test)]
@@ -732,19 +791,27 @@ mod tests {
 
     /// Distributed run must agree with the serial driver.
     fn check_matches_serial(solver: SolverKind, ranks: usize) {
+        check_matches_serial_on(cfg(solver, 0.2), ranks);
+    }
+
+    /// Distributed run of `base` (from a = 0.2, two steps) must agree
+    /// with the serial driver.
+    fn check_matches_serial_on(base: SimConfig, ranks: usize) {
+        let solver = base.solver;
         let a0 = 0.2;
         let a1 = 0.22;
         let a2 = 0.24;
         let realization = ics(a0);
+        let mk_cfg = move || SimConfig { a_init: a0, ..base };
 
-        let mut serial = Simulation::from_ics(cfg(solver, a0), &realization);
+        let mut serial = Simulation::from_ics(mk_cfg(), &realization);
         serial.step(a1);
         serial.step(a2);
         let (sx, sy, sz) = serial.positions();
 
         let r2 = realization.clone();
         let (results, _) = Machine::new(ranks).run(move |comm| {
-            let mut sim = DistSimulation::new(&comm, cfg(solver, a0), &r2);
+            let mut sim = DistSimulation::new(&comm, mk_cfg(), &r2);
             sim.step(a1);
             sim.step(a2);
             sim.gather_positions()
@@ -771,6 +838,23 @@ mod tests {
     #[test]
     fn pm_only_matches_serial_two_ranks() {
         check_matches_serial(SolverKind::PmOnly, 2);
+    }
+
+    /// The single-level r2c pipeline on the 1-rank world (a `1 × 1`
+    /// transform grid) and on four thin slabs.
+    #[test]
+    fn pm_only_matches_serial_one_and_four_ranks() {
+        check_matches_serial(SolverKind::PmOnly, 1);
+        check_matches_serial(SolverKind::PmOnly, 4);
+    }
+
+    #[test]
+    fn pm_only_matches_serial_ng64_two_ranks() {
+        let base = SimConfig {
+            ng: 64,
+            ..cfg(SolverKind::PmOnly, 0.2)
+        };
+        check_matches_serial_on(base, 2);
     }
 
     /// Distributed two-level run must agree with the *serial two-level*
@@ -862,6 +946,84 @@ mod tests {
             // 4.5-cell overload on an 8-cell slab (plus y/z self-ghosts):
             // sizable but bounded replication.
             assert!(f > 0.0 && f < 6.0, "overload fraction {f}");
+        }
+    }
+
+    /// The fused three-field pass equals, bit for bit, the former
+    /// one-field-at-a-time interpolation with the fmod-based wrap.
+    #[test]
+    fn fused_interpolation_is_bitwise_per_component() {
+        fn wrap_fmod(g: f64, n: usize) -> (usize, f64) {
+            let nf = n as f64;
+            let mut w = g % nf;
+            if w < 0.0 {
+                w += nf;
+            }
+            if w >= nf {
+                w = 0.0;
+            }
+            let i = w.floor() as usize;
+            (i.min(n - 1), w - i as f64)
+        }
+        let a0 = 0.25;
+        let realization = ics(a0);
+        let (results, _) = Machine::new(2).run(move |comm| {
+            let sim = DistSimulation::new(&comm, cfg(SolverKind::PmOnly, a0), &realization);
+            let n = sim.cfg.ng;
+            let h = (sim.w_cells.ceil() as usize) + 1;
+            let (x0, lx) = sim.slab_range();
+            let len = (lx + 2 * h) * n * n;
+            let fields: Vec<Vec<f64>> = (0..3u64)
+                .map(|c| (0..len as u64).map(|i| ((i * 7919 + c * 104_729) % 1013) as f64 / 97.0 - 5.0).collect())
+                .collect();
+            let fused = sim.interpolate_ext([&fields[0], &fields[1], &fields[2]], n, h);
+            let to_grid = n as f64 / sim.cfg.box_len;
+            let ps = sim.particles();
+            for (c, field) in fields.iter().enumerate() {
+                for (i, got) in fused[c].iter().enumerate() {
+                    let gx = f64::from(ps.x[i]) * to_grid;
+                    let fx = gx.floor();
+                    let dx = gx - fx;
+                    let ixe = (fx as i64 - (x0 as i64 - h as i64)) as usize;
+                    let (iy, dy) = wrap_fmod(f64::from(ps.y[i]) * to_grid, n);
+                    let (iz, dz) = wrap_fmod(f64::from(ps.z[i]) * to_grid, n);
+                    let (iy1, iz1) = ((iy + 1) % n, (iz + 1) % n);
+                    let (tx, ty, tz) = (1.0 - dx, 1.0 - dy, 1.0 - dz);
+                    let mut acc = 0.0;
+                    for (pofs, wx) in [(ixe, tx), (ixe + 1, dx)] {
+                        let b = pofs * n * n;
+                        acc += wx
+                            * (field[b + iy * n + iz] * ty * tz
+                                + field[b + iy * n + iz1] * ty * dz
+                                + field[b + iy1 * n + iz] * dy * tz
+                                + field[b + iy1 * n + iz1] * dy * dz);
+                    }
+                    assert_eq!(got.to_bits(), (acc as f32).to_bits(), "particle {i} c={c}");
+                }
+            }
+            ps.len() - ps.n_active
+        });
+        assert!(results.iter().all(|&passive| passive > 0), "no replicas exercised the wrap");
+    }
+
+    #[test]
+    fn wrap_cell_matches_fmod_bitwise() {
+        let n = 8;
+        let nf = n as f64;
+        let mut probes = vec![0.0, -0.0, nf, -nf, 2.0 * nf, -1e-300, nf - 1e-13, 1e-20 - nf];
+        probes.extend((-400..400).map(|k| f64::from(k) * 0.0625 + 0.013));
+        for g in probes {
+            let mut w = g % nf;
+            if w < 0.0 {
+                w += nf;
+            }
+            if w >= nf {
+                w = 0.0;
+            }
+            let i = w.floor() as usize;
+            let want = (i.min(n - 1), w - i as f64);
+            let got = wrap_cell(g, n);
+            assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()), "g = {g}");
         }
     }
 

@@ -195,6 +195,22 @@ impl Decomposition {
         }
     }
 
+    /// Wrap a stored `f32` coordinate into `[0, box_len)` *as an `f32`*.
+    /// The range test runs after rounding: a coordinate just below zero
+    /// wraps in `f64` to a value under `box_len` that can round up to
+    /// exactly `box_len` in `f32` — outside every domain, and past the
+    /// deposit halo of the rank that then claims it. Such a value is
+    /// stepped down to the largest `f32` below `box_len`, so the
+    /// particle stays with the domain that holds it.
+    #[must_use]
+    pub fn wrap_f32(&self, v: f32) -> f32 {
+        let mut w = self.wrap(f64::from(v)) as f32;
+        while f64::from(w) >= self.box_len {
+            w = w.next_down();
+        }
+        w
+    }
+
     /// Owner rank of a (wrapped) position.
     #[must_use] 
     pub fn owner_of(&self, pos: [f64; 3]) -> usize {
@@ -389,9 +405,9 @@ pub fn try_refresh(
     for i in 0..particles.n_active {
         let mut p = particles.pack(i);
         // Wrap into the periodic box.
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        p.x = decomp.wrap_f32(p.x);
+        p.y = decomp.wrap_f32(p.y);
+        p.z = decomp.wrap_f32(p.z);
         let pos = [f64::from(p.x), f64::from(p.y), f64::from(p.z)];
         let owner = decomp.owner_of(pos);
         sends[owner].push(Tagged {
@@ -447,9 +463,9 @@ pub fn salvage_for(decomp: &Decomposition, particles: &Particles, failed: usize)
     let mut out = Vec::new();
     for i in particles.n_active..particles.len() {
         let mut p = particles.pack(i);
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        p.x = decomp.wrap_f32(p.x);
+        p.y = decomp.wrap_f32(p.y);
+        p.z = decomp.wrap_f32(p.z);
         let pos = [f64::from(p.x), f64::from(p.y), f64::from(p.z)];
         if decomp.owner_of(pos) == failed {
             out.push(p);
@@ -497,9 +513,9 @@ pub fn try_salvage_refresh(
     let mut sends: Vec<Vec<Tagged>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for i in 0..particles.len() {
         let mut p = particles.pack(i);
-        p.x = decomp.wrap(f64::from(p.x)) as f32;
-        p.y = decomp.wrap(f64::from(p.y)) as f32;
-        p.z = decomp.wrap(f64::from(p.z)) as f32;
+        p.x = decomp.wrap_f32(p.x);
+        p.y = decomp.wrap_f32(p.y);
+        p.z = decomp.wrap_f32(p.z);
         let owner = decomp.owner_of([f64::from(p.x), f64::from(p.y), f64::from(p.z)]);
         sends[owner].push(Tagged {
             p,
@@ -571,9 +587,9 @@ pub fn try_reshard(
     let mut sends: Vec<Vec<Packed>> = (0..comm.size()).map(|_| Vec::new()).collect();
     for i in 0..particles.n_active {
         let mut p = particles.pack(i);
-        p.x = new_decomp.wrap(f64::from(p.x)) as f32;
-        p.y = new_decomp.wrap(f64::from(p.y)) as f32;
-        p.z = new_decomp.wrap(f64::from(p.z)) as f32;
+        p.x = new_decomp.wrap_f32(p.x);
+        p.y = new_decomp.wrap_f32(p.y);
+        p.z = new_decomp.wrap_f32(p.z);
         let owner = new_decomp.owner_of([f64::from(p.x), f64::from(p.y), f64::from(p.z)]);
         sends[owner].push(p);
     }
@@ -728,6 +744,40 @@ mod tests {
         assert_eq!(d.wrap(-1.0), 15.0);
         assert_eq!(d.wrap(17.5), 1.5);
         assert_eq!(d.wrap(3.0), 3.0);
+    }
+
+    /// A coordinate just below zero wraps in `f64` to `128 − 1e-6`,
+    /// which rounds to exactly 128 in `f32`; the stored coordinate must
+    /// stay inside the box and with the domain that holds it.
+    #[test]
+    fn wrap_f32_never_stores_the_box_length() {
+        let d = Decomposition::new([2, 1, 1], 128.0, 4.0);
+        assert_eq!(d.wrap(f64::from(-1e-6f32)) as f32, 128.0, "premise");
+        let x = d.wrap_f32(-1e-6);
+        assert!(x < 128.0, "stored at {x}");
+        assert_eq!(d.owner_of([f64::from(x), 1.0, 1.0]), 1);
+        assert_eq!(d.wrap_f32(-1.0), 127.0);
+        assert_eq!(d.wrap_f32(128.0), 0.0);
+        assert_eq!(d.wrap_f32(5.5), 5.5);
+    }
+
+    /// The same particle through a real refresh: it stays active on
+    /// rank 1, below the box length.
+    #[test]
+    fn refresh_keeps_just_negative_particle_inside_the_box() {
+        let (out, _) = Machine::new(2).run(|comm| {
+            let d = Decomposition::new([2, 1, 1], 128.0, 4.0);
+            let mut ps = Particles::default();
+            if comm.rank() == 0 {
+                ps.push(Packed { x: -1e-6, y: 10.0, z: 10.0, vx: 0.0, vy: 0.0, vz: 0.0, id: 7 });
+            }
+            ps.n_active = ps.len();
+            refresh(&comm, &d, &mut ps);
+            (0..ps.n_active).map(|i| (ps.id[i], ps.x[i])).collect::<Vec<_>>()
+        });
+        assert!(out[0].is_empty(), "rank 0 kept {:?}", out[0]);
+        assert_eq!(out[1].len(), 1);
+        assert!(out[1][0].1 < 128.0, "stored at {}", out[1][0].1);
     }
 
     #[test]

@@ -117,6 +117,12 @@ pub trait DistRealFft3 {
     fn forward(&self, data: Vec<f64>) -> Vec<Complex64>;
     /// Normalized inverse c2r transform.
     fn backward(&self, data: Vec<Complex64>) -> Vec<f64>;
+    /// [`Self::backward`] reading the spectrum in place; `data` is left
+    /// clobbered. Lets a caller keep one spectrum buffer across
+    /// transforms instead of handing a fresh one to each.
+    fn backward_from(&self, data: &mut [Complex64]) -> Vec<f64> {
+        self.backward(data.to_vec())
+    }
     /// The communicator the transform runs on.
     fn comm(&self) -> &Comm;
 }

@@ -4,7 +4,9 @@
 //! `P1 × P2` process grid (`ranks ≤ N²`), with the transform composed of
 //! interleaved transposition and sequential 1-D FFT steps where "each
 //! transposition only involves a subset of all tasks" — here the row and
-//! column sub-communicators obtained by `Comm::split`.
+//! column sub-communicators obtained by `Comm::derive`. Deriving them
+//! needs no collective, so a rank rebuilt alone during recovery can
+//! reconstruct its transform without its peers.
 //!
 //! Layout sequence (forward):
 //!
@@ -151,6 +153,8 @@ impl<'a> PencilFft<'a> {
     }
 
     /// Create with an explicit `p1 × p2` process grid (`p1·p2 = ranks`).
+    /// Local: the row and column communicators are derived, not split,
+    /// so ranks need not construct the transform together.
     #[must_use]
     pub fn with_grid(comm: &'a Comm, n: usize, p1: usize, p2: usize) -> Self {
         assert_eq!(p1 * p2, comm.size(), "process grid must cover all ranks");
@@ -160,8 +164,12 @@ impl<'a> PencilFft<'a> {
         );
         let my_p1 = comm.rank() / p2;
         let my_p2 = comm.rank() % p2;
-        let row_comm = comm.split(my_p1 as u64, my_p2 as u64);
-        let col_comm = comm.split(my_p2 as u64, my_p1 as u64);
+        let salt =
+            |axis: u64| ((n as u64) << 32) ^ ((p1 as u64) << 16) ^ ((p2 as u64) << 2) ^ axis;
+        let row: Vec<usize> = (0..p2).map(|j| my_p1 * p2 + j).collect();
+        let col: Vec<usize> = (0..p1).map(|i| i * p2 + my_p2).collect();
+        let row_comm = comm.derive(&row, salt(1));
+        let col_comm = comm.derive(&col, salt(2));
         PencilFft {
             comm,
             row_comm,
@@ -216,6 +224,21 @@ impl<'a> PencilFft<'a> {
     }
     fn lz2(&self) -> usize {
         self.z2[self.p2].1
+    }
+
+    /// On a `p × 1` grid (a true slab) the row communicator is this rank
+    /// alone and a z-pencil block `[lx][n][nz]` already *is* the y-pencil
+    /// block: the row transpose is the identity, so it is skipped.
+    fn row_is_identity(&self) -> bool {
+        self.y2.len() == 1
+    }
+
+    /// The identity row transpose: one copy, no pack or exchange.
+    fn local_copy(&self, data: &[Complex64], tm: &mut PencilTimings) -> Vec<Complex64> {
+        let t = tick();
+        let out = data.to_vec();
+        tock(t, &mut tm.unpack_s);
+        out
     }
 
     /// Batched FFTs over contiguous rows `rows` of a `[*][len]` block
@@ -325,6 +348,9 @@ impl<'a> PencilFft<'a> {
         z_ranges: &[(usize, usize)],
         tm: &mut PencilTimings,
     ) -> Vec<Complex64> {
+        if self.row_is_identity() {
+            return self.local_copy(data, tm);
+        }
         let (n, lx, ly) = (self.n, self.lx(), self.ly2());
         let t = tick();
         let sends: Vec<Vec<Complex64>> = z_ranges
@@ -377,6 +403,15 @@ impl<'a> PencilFft<'a> {
     ) -> Vec<Complex64> {
         let (n, lx, ly) = (self.n, self.lx(), self.ly2());
         let cr = chunk_ranges(lx, chunks.max(1));
+        if self.row_is_identity() {
+            let mut out = self.local_copy(data, tm);
+            for r in cr {
+                let t = tick();
+                fused(&mut out, r);
+                tock(t, &mut tm.fft_s);
+            }
+            return out;
+        }
         let t = tick();
         let sends: Vec<Vec<Vec<Complex64>>> = cr
             .iter()
@@ -433,6 +468,9 @@ impl<'a> PencilFft<'a> {
         z_ranges: &[(usize, usize)],
         tm: &mut PencilTimings,
     ) -> Vec<Complex64> {
+        if self.row_is_identity() {
+            return self.local_copy(data, tm);
+        }
         let (n, lx) = (self.n, self.lx());
         let lz = z_ranges[self.p2].1;
         let t = tick();
@@ -501,6 +539,15 @@ impl<'a> PencilFft<'a> {
                 chunk_ranges(rows, parts)
             }
         };
+        if self.row_is_identity() {
+            let mut out = self.local_copy(data, tm);
+            for rr in row_chunks(lx * self.ly2()) {
+                let t = tick();
+                fused(&mut out, rr);
+                tock(t, &mut tm.fft_s);
+            }
+            return out;
+        }
         let t = tick();
         let sends: Vec<Vec<Vec<Complex64>>> = (0..parts)
             .map(|ci| {
@@ -982,6 +1029,10 @@ impl DistRealFft3 for RealPencilFft<'_> {
     }
 
     fn backward(&self, mut data: Vec<Complex64>) -> Vec<f64> {
+        self.backward_from(&mut data)
+    }
+
+    fn backward_from(&self, data: &mut [Complex64]) -> Vec<f64> {
         let f = &self.inner;
         assert_eq!(data.len(), self.k_layout().len());
         let mut tm = PencilTimings::default();
@@ -991,11 +1042,11 @@ impl DistRealFft3 for RealPencilFft<'_> {
         let inv = 1.0 / (n * n * n) as f64;
         let mut out = vec![0.0f64; rows * n];
         let t = tick();
-        f.fft_x(&mut data, lz, true);
+        f.fft_x(data, lz, true);
         tock(t, &mut tm.fft_s);
         match f.schedule {
             TransposeSchedule::Blocking => {
-                let mut y = f.x_to_y(&data, lz, &mut tm);
+                let mut y = f.x_to_y(data, lz, &mut tm);
                 let t = tick();
                 f.fft_y(&mut y, lz, true);
                 tock(t, &mut tm.fft_s);
@@ -1012,7 +1063,7 @@ impl DistRealFft3 for RealPencilFft<'_> {
                 tock(t, &mut tm.fft_s);
             }
             TransposeSchedule::Overlapped { chunks } => {
-                let y = f.x_to_y_chunked(&data, lz, chunks, &mut tm, |o, r| {
+                let y = f.x_to_y_chunked(data, lz, chunks, &mut tm, |o, r| {
                     f.fft_y_slabs(o, lz, r, true);
                 });
                 // Pair-aligned row chunks keep the c2r line pairing — and
@@ -1150,7 +1201,7 @@ mod tests {
     /// chunk count — including more chunks than the sliced dimensions.
     #[test]
     fn schedules_bitwise_identical_c2c() {
-        for (n, p1, p2) in [(8usize, 2usize, 2usize), (10, 2, 3), (9, 3, 2)] {
+        for (n, p1, p2) in [(8usize, 2usize, 2usize), (10, 2, 3), (9, 3, 2), (9, 3, 1)] {
             let (res, _) = Machine::new(p1 * p2).run(move |comm| {
                 let orig = rand_grid(
                     PencilFft::with_grid(&comm, n, p1, p2).real_layout().len(),
@@ -1183,7 +1234,8 @@ mod tests {
     /// row chunks must additionally stay pair-aligned.
     #[test]
     fn schedules_bitwise_identical_r2c() {
-        for (n, p1, p2) in [(8usize, 2usize, 2usize), (10, 2, 3), (9, 3, 2), (7, 2, 2)] {
+        let grids = [(8usize, 2usize, 2usize), (10, 2, 3), (9, 3, 2), (7, 2, 2), (8, 2, 1), (9, 3, 1)];
+        for (n, p1, p2) in grids {
             let (res, _) = Machine::new(p1 * p2).run(move |comm| {
                 let orig: Vec<f64> = rand_grid(
                     RealPencilFft::with_grid(&comm, n, p1, p2)
@@ -1302,6 +1354,8 @@ mod tests {
         check_real(8, 2, 2);
         check_real(6, 1, 2);
         check_real(8, 1, 4);
+        check_real(8, 4, 1);
+        check_real(9, 3, 1);
     }
 
     #[test]

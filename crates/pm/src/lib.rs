@@ -22,10 +22,8 @@ pub use cic::{
     deposit_cic, deposit_cic_par, deposit_cic_par_with, deposit_tsc, interpolate_cic,
     interpolate_cic_into, CicScratch,
 };
-pub use dist::{DistPoisson, DistRealPoisson};
+pub use dist::DistRealPoisson;
 pub use response::GridForceFit;
 pub use solver::PmSolver;
 pub use spectral::SpectralParams;
-pub use twolevel::{
-    coarse_solve_forces, ForceSplit, LocalComplementSolver, PmLevelConfig, TwoLevelPmSolver,
-};
+pub use twolevel::{ForceSplit, LocalComplementSolver, PmLevelConfig, TwoLevelPmSolver};

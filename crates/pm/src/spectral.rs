@@ -76,6 +76,26 @@ impl SpectralParams {
         (-k2 * s * s / 4.0).exp() * sinc_pow
     }
 
+    /// One axis's factor of [`Self::filter_k`]: the filter is the
+    /// product of this over the three wavevector components.
+    pub(crate) fn filter_factor(&self, k: f64, delta: f64) -> f64 {
+        let s = self.sigma * delta;
+        (-k * k * s * s / 4.0).exp() * sinc(0.5 * k * delta).powi(self.ns)
+    }
+
+    /// One axis's term of the effective `k²` in [`Self::influence_k`]:
+    /// the influence is `-1 / Σ_i k2_eff_term(k_i)` away from the zero
+    /// mode.
+    pub(crate) fn k2_eff_term(&self, k: f64, delta: f64) -> f64 {
+        if self.sixth_order_influence {
+            let s = (0.5 * k * delta).sin();
+            let s2 = s * s;
+            s2 * (1.0 + s2 / 3.0 + 8.0 / 45.0 * s2 * s2) * 4.0 / (delta * delta)
+        } else {
+            k * k
+        }
+    }
+
     /// Influence function G(k): the spectral inverse Laplacian, negative
     /// definite, with G(0) = 0 (mean-field gauge). Solving
     /// `φ(k) = G(k)·ρ(k)` realizes `∇²φ = ρ`.

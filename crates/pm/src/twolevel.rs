@@ -36,6 +36,7 @@ use hacc_fft::wavenumber::{k_index, k_of_index};
 use hacc_fft::{Complex64, DistRealFft3, RealFft3};
 use rayon::prelude::*;
 
+use crate::dist::DistRealPoisson;
 use crate::solver::PmSolver;
 use crate::spectral::{sinc, SpectralParams};
 
@@ -255,6 +256,18 @@ impl ForceSplit {
             self.params
                 .gradient_k(k_of_index(jc, self.nc, self.box_len), self.delta_c())
         }
+    }
+
+    /// The distributed coarse-level solver over `fft`, an `(n/c)³`
+    /// transform (the production choice is a [`hacc_fft::RealPencilFft`]
+    /// — this is where the `~c³` all-to-all byte reduction comes from).
+    /// The split's coarse tables are evaluated once here, over the
+    /// transform's rank-local modes; each solve is then 1 r2c forward +
+    /// 3 c2r inverses in the transform's own real layout.
+    pub fn coarse_poisson<F: DistRealFft3>(&self, fft: F) -> DistRealPoisson<F> {
+        assert_eq!(fft.n(), self.nc, "coarse transform side must be n/c");
+        let grad = (0..self.nc).map(|jc| self.coarse_grad(jc)).collect();
+        DistRealPoisson::with_tables(fft, |idx_c| self.coarse_scalar(idx_c), grad)
     }
 
     /// Fine scalar A at an arbitrary wavevector (ghost-padded local
@@ -624,39 +637,6 @@ impl LocalComplementSolver {
             self.rfft.backward(comp, slot);
         }
     }
-}
-
-/// Distributed coarse-level force solve over any [`DistRealFft3`]
-/// (the production choice is [`hacc_fft::RealPencilFft`], reused
-/// unchanged at `n/c` — this is where the `~c³` all-to-all byte
-/// reduction comes from). Source and outputs use the transform's own
-/// real layout; cost is 1 r2c forward + 3 c2r inverses.
-#[must_use]
-pub fn coarse_solve_forces<F: DistRealFft3 + ?Sized>(
-    fft: &F,
-    split: &ForceSplit,
-    source: &[f64],
-) -> [Vec<f64>; 3] {
-    let nc = split.nc();
-    assert_eq!(fft.n(), nc, "coarse transform side must be n/c");
-    let rl = fft.real_layout();
-    assert_eq!(source.len(), rl.len(), "source does not match layout");
-    let mut k_data = fft.forward(source.to_vec());
-    let kl = fft.k_layout();
-    for (i, v) in k_data.iter_mut().enumerate() {
-        let g = kl.global_coords(i);
-        *v = v.scale(split.coarse_scalar(g));
-    }
-    let mut out: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (c, slot) in out.iter_mut().enumerate() {
-        let mut comp = k_data.clone();
-        for (i, v) in comp.iter_mut().enumerate() {
-            let g = kl.global_coords(i);
-            *v *= Complex64::new(0.0, -split.coarse_grad(g[c]));
-        }
-        *slot = fft.backward(comp);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1116,14 +1096,14 @@ mod dist_tests {
         let (results, _) = Machine::new(ranks).run(move |comm| {
             // p×1 pencil grid ⇒ x-slab real layout, matching the
             // coarse deposit's slab decomposition.
-            let fft = RealPencilFft::with_grid(&comm, nc, ranks, 1);
-            let rl = fft.real_layout();
+            let coarse = split.coarse_poisson(RealPencilFft::with_grid(&comm, nc, ranks, 1));
+            let rl = coarse.real_layout();
             let mut local = vec![0.0; rl.len()];
             for (i, v) in local.iter_mut().enumerate() {
                 let g = rl.global_coords(i);
                 *v = src[(g[0] * nc + g[1]) * nc + g[2]];
             }
-            (rl, coarse_solve_forces(&fft, &split, &local))
+            (rl, coarse.solve_forces(&local))
         });
         for (rl, forces) in &results {
             for axis in 0..3 {
